@@ -130,6 +130,30 @@ fn fluid_pool_stress(flows: usize) -> f64 {
     sim.run().as_secs_f64()
 }
 
+/// Rebalance cost against idle traffic: `churn` short back-to-back
+/// transfers on one link while `idle` long-lived flows sit on links of their
+/// own. A component-local rebalance never visits the idle flows, so the
+/// run costs the same for any `idle` apart from the idle flows' own starts
+/// and completions; `scripts/ci.sh` gates the 1k-vs-0 time ratio.
+fn fluid_idle_churn(idle: usize, churn: usize) -> f64 {
+    let mut sim = Sim::new(7);
+    let pool = FluidPool::new(sim.handle());
+    let busy = pool.add_link(1.0e9);
+    for _ in 0..idle {
+        let pool = pool.clone();
+        let link = pool.add_link(1.0e9);
+        // 1 s at full rate: outlives the churn (`churn` µs) by far.
+        sim.spawn(async move { pool.transfer(&[link], 1.0e9, None).await });
+    }
+    let p = pool.clone();
+    sim.spawn(async move {
+        for _ in 0..churn {
+            p.transfer(&[busy], 1_000.0, None).await;
+        }
+    });
+    sim.run().as_secs_f64()
+}
+
 fn bench_fluid_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("fluid_pool");
     g.sample_size(10);
@@ -141,6 +165,12 @@ fn bench_fluid_pool(c: &mut Criterion) {
     for &(flows, label) in sizes {
         g.bench_function(label, |b| {
             b.iter(|| fluid_pool_stress(flows));
+        });
+    }
+    let churn = if quick() { 20_000 } else { 100_000 };
+    for &(idle, label) in &[(0usize, "idle_churn/idle_0"), (1_000, "idle_churn/idle_1k")] {
+        g.bench_function(label, |b| {
+            b.iter(|| fluid_idle_churn(idle, churn));
         });
     }
     g.finish();

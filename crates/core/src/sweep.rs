@@ -42,7 +42,7 @@ pub use crate::cache::{
 
 /// Version of the simulation engine folded into every cache key. Bump on any
 /// change that alters simulated numbers so stale cache entries stop hitting.
-pub const ENGINE_VERSION: u32 = 1;
+pub const ENGINE_VERSION: u32 = 2;
 
 /// Content-addressed identity of one sweep-point job.
 ///

@@ -93,10 +93,10 @@ proptest! {
 #[test]
 fn digest_is_stable_across_processes() {
     let plain = JobKey::new("stable-probe", None, None, Scale::Quick).with("x", 1);
-    assert_eq!(plain.digest(), "323af55f15d55169cf62db0a799872ba");
+    assert_eq!(plain.digest(), "4efd541561d1b2860c641c0cea72c55d");
     let with_machine =
         JobKey::new("stable-probe", Some(&presets::xt4()), Some(ExecMode::VN), Scale::Full)
             .with("bytes", 1u64 << 20)
             .with("ratio", 0.5);
-    assert_eq!(with_machine.digest(), "32d4125c51388a9a9602523e096d4b75");
+    assert_eq!(with_machine.digest(), "a19ba76866e17dc96c9af347414c1106");
 }

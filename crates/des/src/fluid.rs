@@ -28,7 +28,13 @@
 //!   re-water-filled. Disjoint traffic is left completely untouched — its
 //!   rates, volumes, and scheduled completion events stay as they are.
 //!   (Max-min allocations of disjoint components are independent, so this is
-//!   exact, not an approximation.)
+//!   exact, not an approximation.) A rebalance never walks the whole slab.
+//! * **Lazy volume bookkeeping.** A flow stores its remaining volume as of
+//!   `last_update` together with its rate, and its volume is brought forward
+//!   only when the flow is touched: when a rebalance reaches its component,
+//!   or when it completes or is cancelled. Per-link `carried` totals are
+//!   settled at the same moments, so they are exact once every flow has
+//!   finished.
 //! * **Allocation-free water-fill.** The solver reuses per-pool scratch
 //!   buffers (residual capacity, unfrozen-user counters, per-flow rates,
 //!   stamp-based visited marks) across calls; a rebalance performs no heap
@@ -62,7 +68,10 @@ const VOLUME_EPS: f64 = 1e-6;
 
 struct Link {
     capacity: f64, // bytes/s
-    /// Cumulative bytes carried (for utilization reports).
+    /// Cumulative bytes carried (for utilization reports). A flow's bytes
+    /// are credited when the flow is touched (rebalanced, completed or
+    /// cancelled), so the total lags while flows crossing the link are
+    /// mid-transfer and is exact once every flow has finished.
     carried: f64,
     /// Slab slots of the *active* (not yet completed) flows crossing this
     /// link — the adjacency index component discovery walks.
@@ -198,7 +207,9 @@ impl FluidPool {
         self.inner.borrow().links.len()
     }
 
-    /// Cumulative bytes carried over `link`.
+    /// Cumulative bytes carried over `link`, as settled so far: bytes of a
+    /// flow still in transfer are credited when the flow is next touched,
+    /// and the total is exact once every flow has finished.
     pub fn carried(&self, link: LinkId) -> f64 {
         self.inner.borrow().links[link.0].carried
     }
@@ -289,9 +300,9 @@ impl FluidPool {
         let (links, flows, scratch) = (&mut inner.links, &mut inner.flows, &mut inner.scratch);
         inner.stats.rebalances += 1;
         // Every rebalance moves this pool's pending completion events behind
-        // all ordinary events scheduled so far at their instants, matching
-        // the historical implementation that re-enqueued each of them. One
-        // counter bump replaces O(flows) heap churn.
+        // all ordinary events scheduled so far at their instants (the
+        // same-instant order the model keeps; see the executor's `Bucket`).
+        // One counter bump replaces O(flows) heap churn.
         self.handle.core.touch_flow_source(self.source);
 
         // --- 1. discover the connected component (stamp-marked BFS) -------
@@ -419,10 +430,9 @@ impl FluidPool {
                 // remaining volume is not always bit-stable: even at an
                 // unchanged rate, `(rem - rate*dt)/rate` can ceil to a
                 // different picosecond than the original `rem/rate` did.
-                // The historical rebalancer always recomputed, so the golden
-                // schedules bake those round-offs in; only when both the
-                // rate and the rounded instant are unchanged can the live
-                // event be kept.
+                // The goldens bake in that recomputation for component
+                // flows, so the live event is kept only when both the rate
+                // and the rounded instant are unchanged.
                 let eta = now + SimDuration::from_secs_f64(f.remaining / new_rate);
                 if new_rate != f.rate || eta != f.eta {
                     f.rate = new_rate;
@@ -439,44 +449,11 @@ impl FluidPool {
             // rate == 0 with volume left cannot happen: every flow gets a
             // positive share because link capacities are positive.
         }
-
-        // --- 5. advance bookkeeping for the rest of the pool ---------------
-        // Rates outside the touched component cannot change (water-filling
-        // restricted to a component is exact — see the oracle proptest), but
-        // the historical rebalancer still advanced every flow's remaining
-        // volume and recomputed its finish estimate, and that chained
-        // arithmetic can ceil to a neighbouring picosecond. Replay exactly
-        // that bookkeeping — a few float ops per flow, no water-filling, and
-        // no event traffic unless the rounded instant actually moved.
-        for (slot, entry) in flows.iter_mut().enumerate() {
-            if scratch.flow_stamp[slot] == stamp {
-                continue; // component flow: handled above
-            }
-            let Some(f) = entry.as_mut() else { continue };
-            if f.done {
-                continue;
-            }
-            let dt = now.duration_since(f.last_update).as_secs_f64();
-            if dt <= 0.0 {
-                continue; // nothing moved: the stored estimate is bit-identical
-            }
-            if f.rate > 0.0 {
-                let moved = f.rate * dt;
-                f.remaining = (f.remaining - moved).max(0.0);
-                for l in f.route.iter() {
-                    links[l.0].carried += moved;
-                }
-            }
-            f.last_update = now;
-            let eta = now + SimDuration::from_secs_f64(f.remaining / f.rate);
-            if eta != f.eta {
-                f.generation += 1;
-                f.eta = eta;
-                inner.stats.reschedules += 1;
-                let (uid, gen) = (f.uid, f.generation);
-                self.schedule_completion(slot, uid, gen, eta);
-            }
-        }
+        // Flows outside the component are not visited: their rates cannot
+        // change (see the oracle proptest), so their `(remaining,
+        // last_update)` pair and live completion event stay exact until a
+        // rebalance, completion or cancel touches them and settles the
+        // volume from `last_update`.
     }
 
     fn schedule_completion(&self, slot: usize, uid: u64, gen: u64, at: SimTime) {
@@ -866,6 +843,70 @@ mod tests {
         assert_eq!(st.rebalances, 4, "{st:?}");
         assert_eq!(st.flows_touched, 2, "{st:?}");
         assert_eq!(st.max_component, 1, "{st:?}");
+    }
+
+    #[test]
+    fn churn_leaves_disjoint_flow_state_alone() {
+        // A long flow on link b; completing and cancelled flows churn on
+        // link a. No rebalance on a may advance, re-rate or reschedule the
+        // flow on b: its stored volume, `last_update` and generation stay
+        // as they were set at its start, and the completion event scheduled
+        // then is the one that fires.
+        let mut sim = Sim::new(0);
+        let pool = FluidPool::new(sim.handle());
+        let a = pool.add_link(1000.0);
+        let b = pool.add_link(1000.0);
+        let (p, h) = (pool.clone(), sim.handle());
+        sim.spawn(async move {
+            let tr = p.transfer(&[b], 10_000.0, None); // alone on b: ends at 10 s
+            let (slot, uid) = tr.flow.expect("live flow");
+            let state = |p: &FluidPool| {
+                let inner = p.inner.borrow();
+                let f = inner.flows[slot].as_ref().expect("flow record");
+                assert_eq!(f.uid, uid);
+                (f.remaining, f.last_update, f.generation, f.eta, f.done)
+            };
+            let ten_s = SimTime::from_ps(10 * crate::time::PS_PER_SEC);
+            let start = state(&p);
+            assert_eq!(start, (10_000.0, SimTime::ZERO, 1, ten_s, false));
+            // After the churn on a has drained (it ends at 3.5 s).
+            h.sleep(SimDuration::from_secs_f64(6.0)).await;
+            assert_eq!(state(&p), start, "churn on a touched the flow on b");
+            assert_eq!(p.carried(b), 0.0, "bytes of an untouched flow are settled lazily");
+            // Past the finish: the generation-1 event fired at its instant.
+            h.sleep(SimDuration::from_secs_f64(5.0)).await;
+            let (remaining, last_update, generation, _, done) = state(&p);
+            assert!(done && remaining == 0.0);
+            assert_eq!((last_update, generation), (ten_s, 1));
+            drop(tr);
+        });
+        // Churn on a: 20 back-to-back 100 B transfers that complete, next
+        // to ten 1000 B transfers each cancelled after 0.3 s. The link is
+        // busy without a gap from 0 until the last completion at 3.5 s.
+        let (p, h) = (pool.clone(), sim.handle());
+        let last_end = Rc::new(RefCell::new(0.0));
+        let end = Rc::clone(&last_end);
+        sim.spawn(async move {
+            for _ in 0..20 {
+                p.transfer(&[a], 100.0, None).await;
+            }
+            *end.borrow_mut() = h.now().as_secs_f64();
+        });
+        let (p, h) = (pool.clone(), sim.handle());
+        sim.spawn(async move {
+            for _ in 0..10 {
+                let tr = p.transfer(&[a], 1000.0, None);
+                futures_select(tr, h.sleep(SimDuration::from_secs_f64(0.3))).await;
+            }
+        });
+        sim.run();
+        let last_end = *last_end.borrow();
+        assert!((last_end - 3.5).abs() < 1e-9, "{last_end}");
+        // Every byte counted exactly once: a saturated link carries its
+        // capacity times its busy time, and the long flow its volume.
+        assert!((pool.carried(a) - 1000.0 * last_end).abs() < 1e-6, "{}", pool.carried(a));
+        assert!((pool.carried(b) - 10_000.0).abs() < 1e-9, "{}", pool.carried(b));
+        assert_eq!(pool.active_flows(), 0);
     }
 
     #[test]

@@ -9,22 +9,11 @@
 
 use rand::Rng;
 use xtsim_machine::{ExecMode, MachineSpec};
-use xtsim_mpi::{simulate, CollectiveMode, Message, WorldConfig};
-use xtsim_net::ContentionModel;
+use xtsim_mpi::{simulate, CollectiveMode, Message};
 
 use crate::util::{job, ranks_for_sockets};
 use xtsim_kernels::lu::hpl_flops;
 use xtsim_kernels::workmodel;
-
-fn global_job(machine: &MachineSpec, mode: ExecMode, ranks: usize) -> WorldConfig {
-    let mut cfg = job(machine, mode, ranks, CollectiveMode::Modeled);
-    // Fluid max-min sharing is exact but O(flows·links); the global
-    // benchmarks put thousands of concurrent flows on the wire.
-    if ranks > 256 {
-        cfg.platform.contention = ContentionModel::Counting;
-    }
-    cfg
-}
 
 /// HPL (Figure 8): blocked right-looking LU over `sockets` sockets. The
 /// factorization is sampled as `ROUNDS` panel steps carrying the full
@@ -44,7 +33,7 @@ pub fn hpl(machine: &MachineSpec, mode: ExecMode, sockets: usize) -> f64 {
     };
     // One panel step broadcasts N/ROUNDS columns of height N.
     let panel_bytes = ((n as f64 / ROUNDS as f64) * n as f64 * 8.0) as u64;
-    let cfg = global_job(machine, mode, p);
+    let cfg = job(machine, mode, p, CollectiveMode::Modeled);
     let out = simulate(21, cfg, move |mpi| async move {
         for r in 0..ROUNDS {
             let root = r % mpi.size();
@@ -69,7 +58,7 @@ pub fn mpi_fft(machine: &MachineSpec, mode: ExecMode, sockets: usize) -> f64 {
         w.serial_dram_bytes /= 3.0;
         w
     };
-    let cfg = global_job(machine, mode, p);
+    let cfg = job(machine, mode, p, CollectiveMode::Modeled);
     let out = simulate(22, cfg, move |mpi| async move {
         for _ in 0..3 {
             let msgs = (0..mpi.size())
@@ -94,7 +83,7 @@ pub fn ptrans(machine: &MachineSpec, mode: ExecMode, sockets: usize) -> f64 {
     let tile_bytes = (0.2 * mem_rank_bytes) as u64;
     let tile_elems = (tile_bytes / 8) as usize;
     let local = workmodel::ptrans_local_packet(tile_elems);
-    let cfg = global_job(machine, mode, p);
+    let cfg = job(machine, mode, p, CollectiveMode::Modeled);
     let out = simulate(23, cfg, move |mpi| async move {
         let me = mpi.rank();
         if me >= used {
@@ -121,7 +110,7 @@ const RA_UPDATES_PER_RANK: usize = 192;
 /// GUPS reported.
 pub fn mpi_ra(machine: &MachineSpec, mode: ExecMode, sockets: usize) -> f64 {
     let p = ranks_for_sockets(machine, mode, sockets);
-    let cfg = global_job(machine, mode, p);
+    let cfg = job(machine, mode, p, CollectiveMode::Modeled);
     let out = simulate(24, cfg, move |mpi| async move {
         let mut rng = mpi.handle().rng(1000 + mpi.rank() as u64);
         let p = mpi.size();

@@ -7,7 +7,7 @@
 # figures binary itself, a trace/metrics export smoke, CLI validation
 # checks, a serve smoke with a parallel-clients phase over the shared
 # memory tier, and the bench gate (including the >=2x memory-vs-disk
-# cache acceptance check).
+# cache acceptance check and the fluid idle-churn ratio check).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -385,6 +385,8 @@ benches = rec["benches"]
 for name in (
     "fluid_pool/flows_1k",
     "fluid_pool/flows_10k",
+    "fluid_pool/idle_churn/idle_0",
+    "fluid_pool/idle_churn/idle_1k",
     "alltoall_fluid/ranks_256",
     "alltoall_fluid/ranks_1024",
     "pdes_alltoall/ranks_1024/threads_1",
@@ -409,6 +411,16 @@ def ms(name):
 assert ms("cache/warm_memory_hit") * 2 <= ms("cache/warm_disk_hit"), (
     f"memory tier not >=2x faster than disk tier: "
     f"{ms('cache/warm_memory_hit'):.3f} ms vs {ms('cache/warm_disk_hit'):.3f} ms"
+)
+# A fluid rebalance must cost O(its component), not O(all flows): churn on
+# one link next to 1,000 idle flows on disjoint links may take at most 1.5x
+# the time of the same churn alone. A within-run ratio, like the cache
+# gate above, so machine load cancels out of it.
+idle_ratio = ms("fluid_pool/idle_churn/idle_1k") / ms("fluid_pool/idle_churn/idle_0")
+assert idle_ratio <= 1.5, (
+    f"fluid churn slows with idle flows elsewhere in the pool: "
+    f"{ms('fluid_pool/idle_churn/idle_1k'):.3f} ms vs "
+    f"{ms('fluid_pool/idle_churn/idle_0'):.3f} ms ({idle_ratio:.2f}x > 1.5x)"
 )
 # The committed before/after record must keep the same shape.
 committed = json.load(open("BENCH_PR4.json"))
