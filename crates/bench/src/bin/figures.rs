@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! figures [--full|--quick|--scale quick|full] [--only ID[,ID...]] [--all]
-//!         [--ablations] [--jobs N] [--des-threads N] [--no-cache]
+//!         [--ablations] [--jobs N] [--no-cache]
 //!         [--cache-dir DIR] [--cache-mem-cap BYTES] [--out DIR]
 //!         [--trace DIR] [--metrics FILE]
 //! ```
@@ -28,18 +28,12 @@
 //! `--metrics FILE` writes a machine-readable per-figure metrics record
 //! (cache hits/misses, wall-clock, simulated-time breakdown by span
 //! category). Either flag enables trace capture inside the simulations.
-//!
-//! Parallel DES: `--des-threads N` (or the `DES_THREADS` env var; the flag
-//! wins) hands each sweep job a worker-thread budget for the conservative
-//! parallel engine. PDES-aware figures (fig24) shard their worlds across
-//! that many threads; output is byte-identical for every value of N — the
-//! differential tests in `tests/pdes_equivalence.rs` enforce it.
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use xtsim::ablations::all_ablations;
-use xtsim::cli::{des_threads_from_env, parse_byte_size, parse_positive, parse_scale, select_figures};
+use xtsim::cli::{parse_byte_size, parse_positive, parse_scale, select_figures};
 use xtsim::figures::{all_figures, Figure};
 use xtsim::report::Scale;
 use xtsim::sweep::{run_figure, DiskCache, FigureMetrics, SweepConfig, DEFAULT_MEM_CAP};
@@ -55,7 +49,6 @@ struct Args {
     cache_mem_cap: u64,
     trace_dir: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    des_threads: usize,
 }
 
 fn default_jobs() -> usize {
@@ -74,7 +67,6 @@ fn parse_args() -> Args {
         cache_mem_cap: DEFAULT_MEM_CAP,
         trace_dir: None,
         metrics: None,
-        des_threads: des_threads_from_env(),
     };
     let mut it = std::env::args().skip(1);
     // Numeric flags share xtsim::cli validation with xtsim-serve: a bad
@@ -113,7 +105,6 @@ fn parse_args() -> Args {
             }
             "--out" => args.out = PathBuf::from(it.next().expect("--out needs a directory")),
             "--jobs" => args.jobs = positive("--jobs", it.next()),
-            "--des-threads" => args.des_threads = positive("--des-threads", it.next()),
             "--no-cache" => args.cache = false,
             "--cache-dir" => {
                 args.cache_dir = PathBuf::from(it.next().expect("--cache-dir needs a directory"));
@@ -138,7 +129,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--full|--quick|--scale quick|full] [--only ID[,ID...]] [--all]\n\
-                     \x20              [--ablations] [--jobs N] [--des-threads N] [--no-cache]\n\
+                     \x20              [--ablations] [--jobs N] [--no-cache]\n\
                      \x20              [--cache-dir DIR] [--cache-mem-cap BYTES] [--out DIR]\n\
                      \x20              [--trace DIR] [--metrics FILE]"
                 );
@@ -170,7 +161,7 @@ fn make_config(args: &Args) -> SweepConfig {
     if args.metrics.is_some() {
         cfg = cfg.with_metrics();
     }
-    cfg.with_des_threads(args.des_threads)
+    cfg
 }
 
 fn main() {

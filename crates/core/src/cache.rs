@@ -353,11 +353,10 @@ impl MemCache {
     }
 
     fn recount_bytes_only(&self) {
-        let bytes: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("mem-cache shard lock").bytes)
-            .sum();
+        let mut bytes = 0u64;
+        for shard in &self.shards {
+            bytes += shard.lock().expect("mem-cache shard lock").bytes;
+        }
         self.total_bytes.store(bytes, Ordering::Relaxed);
         self.publish_totals();
     }

@@ -11,9 +11,6 @@
 //!   servers, disks).
 //! * [`FluidPool`] — max-min fair bandwidth sharing over capacitated links
 //!   (torus links, memory controllers, injection ports).
-//! * [`pdes`] — conservative parallel execution of a partitioned world
-//!   (barrier epochs + [`mailbox`] SPSC channels), byte-identical to serial
-//!   for any thread count.
 //!
 //! ## Example
 //!
@@ -35,8 +32,6 @@ mod channel;
 mod combinators;
 mod executor;
 mod fluid;
-pub mod mailbox;
-pub mod pdes;
 mod resource;
 mod sync;
 mod time;

@@ -294,59 +294,6 @@ pub fn capture_end() -> Option<TraceData> {
     })
 }
 
-/// A capture lifted off its thread, to be re-installed later (possibly on a
-/// different thread) with [`capture_resume`].
-///
-/// The parallel mode ([`crate::pdes`]) runs several shard simulations
-/// interleaved on worker threads; each shard owns one suspended capture and
-/// resumes it for exactly its own epoch slices, so shards never mix spans
-/// even when they share a thread. `Send` because spans hold only owned data.
-pub struct SuspendedCapture(Option<CaptureState>);
-
-impl SuspendedCapture {
-    /// Consume the suspension and yield the spans captured so far (`None`
-    /// if nothing was ever captured).
-    pub fn into_data(self) -> Option<TraceData> {
-        self.0.map(|st| TraceData {
-            spans: st.spans,
-            dropped: st.dropped,
-        })
-    }
-}
-
-/// Lift this thread's active capture (if any) off the thread, leaving
-/// capture inactive. Pair with [`capture_resume`].
-pub fn capture_suspend() -> SuspendedCapture {
-    CAPTURE_ACTIVE.with(|a| a.set(false));
-    SuspendedCapture(CAPTURE.with(|c| c.borrow_mut().take()))
-}
-
-/// Re-install a suspended capture on this thread (replacing any capture in
-/// progress). A `SuspendedCapture` holding nothing leaves capture inactive.
-pub fn capture_resume(s: SuspendedCapture) {
-    let active = s.0.is_some();
-    CAPTURE.with(|c| *c.borrow_mut() = s.0);
-    CAPTURE_ACTIVE.with(|a| a.set(active));
-}
-
-/// Append already-collected spans into this thread's active capture (no-op
-/// when capture is inactive). Used to merge per-shard parallel captures back
-/// into the owning job's capture in deterministic shard order.
-pub fn capture_absorb(data: TraceData) {
-    CAPTURE.with(|c| {
-        if let Some(st) = c.borrow_mut().as_mut() {
-            for span in data.spans {
-                if st.spans.len() >= st.limit {
-                    st.dropped += 1;
-                } else {
-                    st.spans.push(span);
-                }
-            }
-            st.dropped += data.dropped;
-        }
-    });
-}
-
 /// Record a completed span into this thread's active capture (no-op when
 /// capture is inactive).
 ///
@@ -658,33 +605,6 @@ mod tests {
         let args = ev["args"].as_object().unwrap();
         assert_eq!(args["bytes"].as_f64(), Some(4096.0));
         assert_eq!(args["node"].as_i64(), Some(3));
-    }
-
-    #[test]
-    fn suspend_resume_keeps_spans_and_absorb_merges() {
-        capture_begin();
-        emit_span(mk_span(SpanCategory::Compute, "a", 0, 0, 10));
-        let lifted = capture_suspend();
-        assert!(!capture_active());
-        // Emissions while suspended are dropped.
-        emit_span(mk_span(SpanCategory::Compute, "lost", 0, 0, 10));
-        capture_resume(lifted);
-        assert!(capture_active());
-        emit_span(mk_span(SpanCategory::Compute, "b", 0, 10, 20));
-        capture_absorb(TraceData {
-            spans: vec![mk_span(SpanCategory::P2p, "c", 1, 0, 5)],
-            dropped: 2,
-        });
-        let data = capture_end().unwrap();
-        let names: Vec<_> = data.spans.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert_eq!(data.dropped, 2);
-        // A suspended capture converts straight into data too.
-        capture_begin();
-        emit_span(mk_span(SpanCategory::Io, "d", 0, 0, 1));
-        let d = capture_suspend().into_data().unwrap();
-        assert_eq!(d.spans.len(), 1);
-        assert!(capture_suspend().into_data().is_none());
     }
 
     #[test]

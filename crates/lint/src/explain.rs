@@ -26,7 +26,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         summary: "iterating HashMap/HashSet in sim crates",
         rationale: "HashMap/HashSet iteration order depends on RandomState, so any sim \
 result derived from it differs run to run — breaking the byte-identical goldens and the \
-serial-vs-PDES differential check. Use BTreeMap/BTreeSet or sort before iterating.",
+serial-vs-`--jobs N` byte-identity check. Use BTreeMap/BTreeSet or sort before iterating.",
         example: "for (k, v) in &self.flows { ... }   // flows: HashMap<_, _>",
         suppression: "// xtsim-lint: allow(nondet-map-iter, \"order-insensitive fold\")",
     },
@@ -87,9 +87,10 @@ decision.",
         rule: rule_id::THREAD_SHARED_MUT,
         severity: "warn",
         summary: "static mut or non-Sync shared state in threaded code",
-        rationale: "The PDES engine and serve pool are the only sanctioned threading; \
-shared mutable statics bypass their synchronization and the differential harness can't \
-catch the race deterministically.",
+        rationale: "The sweep pool (one world per worker thread under `--jobs N`) and the \
+serve workers are the only sanctioned threading; shared mutable statics bypass their \
+synchronization, and a byte-identity diff across `--jobs` can't catch the race \
+deterministically.",
         example: "static mut COUNTER: u64 = 0;",
         suppression: "// xtsim-lint: allow(thread-shared-mut, \"single-threaded init\")",
     },
@@ -153,7 +154,7 @@ fix/annotate the panic site (its own allow un-seeds the chain)",
         summary: "std sync lock/Condvar wait reachable from fn poll",
         rationale: "The DES executor is single-threaded cooperative: a poll body that \
 blocks on a std Mutex/Condvar (directly or transitively) stalls every other task and can \
-deadlock against the PDES worker threads. Waits belong in the event scheduler.",
+deadlock against the sweep pool's worker threads. Waits belong in the event scheduler.",
         example: "fn poll(...) -> Poll<()> { let g = self.shared.lock().unwrap(); ... }",
         suppression: "// xtsim-lint: allow(blocking-in-poll, \"bounded: ...\") on the \
 blocking site or the poll fn",

@@ -971,16 +971,17 @@ fn unsafe_without_safety_comment(ctx: &FileContext, cfg: &Config, out: &mut Vec<
 // thread-shared-mut
 
 /// Interior-mutability / shared-ownership types that are not `Sync`: a
-/// global of such a type is exactly the state the parallel DES mode must
-/// not share across shards.
+/// global of such a type is exactly the state that worlds on different
+/// worker threads must not share.
 const NON_SYNC_TYPES: [&str; 4] = ["RefCell", "Cell", "UnsafeCell", "Rc"];
 
 /// Flag `static mut` items and non-`Sync` `static` globals in simulator
-/// crates. The parallel engine runs one world per worker thread; any
-/// process-global mutable state would couple shards and break both memory
-/// safety (for `static mut`) and partition invariance. `thread_local!`
-/// statics are exempt — per-thread state is the sanctioned pattern (trace
-/// capture, sweep knobs).
+/// crates. The sweep pool (`--jobs N`) runs one world per worker thread,
+/// and the service's queue workers run several sweeps at once; any
+/// process-global mutable state would couple those worlds and break both
+/// memory safety (for `static mut`) and byte-identity across `--jobs`.
+/// `thread_local!` statics are exempt — per-thread state is the sanctioned
+/// pattern (trace capture).
 fn thread_shared_mut(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
     if !cfg.is_sim_crate(ctx.path) || cfg.rule_allows(rule_id::THREAD_SHARED_MUT, ctx.path) {
         return;
@@ -1007,9 +1008,12 @@ fn thread_shared_mut(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                 rule_id::THREAD_SHARED_MUT,
                 Severity::Error,
                 format!(
-                    "`static mut {name}` in a simulator crate; the parallel DES mode runs                      shards on worker threads, and writable process globals are a data race                      and a determinism leak"
+                    "`static mut {name}` in a simulator crate; the sweep pool runs worlds \
+                     on worker threads, and writable process globals are a data race and a \
+                     determinism leak"
                 ),
-                "move the state into the Sim world (Rc/RefCell inside one shard), use                  thread_local!, or an atomic with documented ordering",
+                "move the state into the Sim world (Rc/RefCell inside one world), use \
+                 thread_local!, or an atomic with documented ordering",
             ));
             continue;
         }
@@ -1026,9 +1030,12 @@ fn thread_shared_mut(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                         rule_id::THREAD_SHARED_MUT,
                         Severity::Error,
                         format!(
-                            "global `static {name}` has a non-Sync type                              (Cell/RefCell/Rc/UnsafeCell); shards on different worker                              threads must not share interior-mutable state"
+                            "global `static {name}` has a non-Sync type \
+                             (Cell/RefCell/Rc/UnsafeCell); worlds on different worker \
+                             threads must not share interior-mutable state"
                         ),
-                        "wrap per-thread state in thread_local!, or keep it inside the                          shard's Sim world",
+                        "wrap per-thread state in thread_local!, or keep it inside the \
+                         job's Sim world",
                     ));
                 }
             }

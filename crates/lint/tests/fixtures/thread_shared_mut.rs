@@ -1,5 +1,5 @@
 // Fixture: thread-shared-mut — writable or non-Sync process globals in a
-// simulator crate (shards on worker threads must not share them).
+// simulator crate (worlds on worker threads must not share them).
 
 static mut EVENT_COUNT: u64 = 0;
 

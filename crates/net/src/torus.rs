@@ -173,8 +173,8 @@ impl Torus3D {
     }
 
     /// Average minimal hop count over random node pairs — the expected
-    /// distance `(X + Y + Z) / 4` for even dimensions (used by the analytic
-    /// latency model's documentation and tests).
+    /// distance `(X + Y + Z) / 4` for even dimensions (used by
+    /// [`crate::Platform::message_time_estimate`] for modeled collectives).
     pub fn mean_hops(&self) -> f64 {
         self.dims
             .iter()

@@ -101,7 +101,6 @@ pub fn make_record(rec: &RunRecord, finished_unix: f64) -> Value {
     params.insert("figure".into(), rec.request.figure.as_str().into());
     params.insert("scale".into(), rec.request.scale.label().into());
     params.insert("jobs".into(), rec.request.jobs.into());
-    params.insert("des_threads".into(), rec.request.des_threads.into());
     m.insert("params".into(), Value::Object(params));
     m.insert("outcome".into(), rec.status.label().into());
     // Queue timing (absent on records from before these fields existed;
@@ -147,7 +146,6 @@ mod tests {
                     figure: figure.into(),
                     scale: Scale::Quick,
                     jobs: 2,
-                    des_threads: 1,
                 },
                 status: RunStatus::Done,
                 output: Some(RunOutput {
@@ -195,7 +193,9 @@ mod tests {
     #[test]
     fn replay_tolerates_records_without_queue_timing() {
         // Records appended by versions that predate wait_secs/exec_secs
-        // simply lack the keys; replay must hand them back unchanged.
+        // simply lack the keys; replay must hand them back unchanged. The
+        // same holds for records of removed figures (fig24) and removed
+        // request params (des_threads).
         let dir =
             std::env::temp_dir().join(format!("xtsim-registry-old-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -207,17 +207,22 @@ mod tests {
             .unwrap();
         f.write_all(
             b"{\"schema\":\"xtsim-registry-v1\",\"run_id\":7,\"figure\":\"fig02\",\
-              \"outcome\":\"done\",\"wall_secs\":1.5,\"finished_unix\":1754000000.0}\n",
+              \"outcome\":\"done\",\"wall_secs\":1.5,\"finished_unix\":1754000000.0}\n\
+              {\"schema\":\"xtsim-registry-v1\",\"run_id\":8,\"figure\":\"fig24\",\
+              \"params\":{\"figure\":\"fig24\",\"scale\":\"quick\",\"jobs\":2,\"des_threads\":2},\
+              \"outcome\":\"done\",\"wall_secs\":0.5,\"finished_unix\":1754000001.0}\n",
         )
         .unwrap();
         drop(f);
         let replay = reg.replay();
         assert_eq!(replay.skipped, 0);
-        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.records.len(), 2);
         let rec = replay.records[0].as_object().unwrap();
         assert!(rec.get("wait_secs").is_none());
         assert!(rec.get("exec_secs").is_none());
         assert_eq!(rec.get("run_id").unwrap().as_i64(), Some(7));
+        let html = crate::dashboard::render(&replay.records, &[], None, None, None);
+        assert!(html.contains("fig02") && html.contains("fig24"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -63,7 +63,7 @@ pub fn unix_now() -> f64 {
 /// exactly as the `figures` CLI does, then append the outcome to the
 /// registry. The result JSON is `serde_json::to_string_pretty` of the
 /// [`xtsim::report::FigureResult`] — byte-identical to the CLI's
-/// `<id>.json` artifact for the same (figure, scale, des-threads).
+/// `<id>.json` artifact for the same (figure, scale).
 pub fn figure_executor(
     cache_dir: Option<PathBuf>,
     cache_mem_cap: u64,
@@ -75,9 +75,7 @@ pub fn figure_executor(
                 .into_iter()
                 .find(|f| f.id == req.figure)
                 .ok_or_else(|| format!("unknown figure id: {}", req.figure))?;
-            let mut cfg = SweepConfig::threads(req.jobs)
-                .with_des_threads(req.des_threads)
-                .with_metrics();
+            let mut cfg = SweepConfig::threads(req.jobs).with_metrics();
             if let Some(dir) = &cache_dir {
                 // The memory hot tier is process-wide per cache directory,
                 // so every run (and every concurrent client) shares it; the
@@ -157,7 +155,6 @@ fn run_envelope(rec: &RunRecord) -> Value {
         ("figure", rec.request.figure.as_str().into()),
         ("scale", rec.request.scale.label().into()),
         ("jobs", rec.request.jobs.into()),
-        ("des_threads", rec.request.des_threads.into()),
         ("status", rec.status.label().into()),
     ];
     if let Some(w) = rec.wait_secs {
@@ -218,8 +215,7 @@ fn parse_run_request(body: &[u8], default_jobs: usize) -> Result<RunRequest, Res
         }
     };
     let jobs = positive("jobs", default_jobs)?;
-    let des_threads = positive("des_threads", 1)?;
-    Ok(RunRequest { figure, scale, jobs, des_threads })
+    Ok(RunRequest { figure, scale, jobs })
 }
 
 /// Normalized route pattern for metric labels: path parameters collapse to
@@ -506,7 +502,9 @@ mod tests {
     #[test]
     fn submit_poll_fetch_result_roundtrip() {
         let state = stub_state();
-        let resp = handle(&post("/runs", "{\"figure\": \"fig02\"}"), &state);
+        // Unknown keys are ignored, including `des_threads` from older clients.
+        let body = "{\"figure\": \"fig02\", \"des_threads\": 2}";
+        let resp = handle(&post("/runs", body), &state);
         assert_eq!(resp.status, 202);
         let id = field(&body_json(&resp), "id").as_i64().unwrap() as u64;
         wait_done(&state, id);
@@ -516,9 +514,9 @@ mod tests {
         let env = body_json(&resp);
         assert_eq!(field(&env, "status").as_str(), Some("done"));
         assert_eq!(field(&env, "figure").as_str(), Some("fig02"));
-        // Defaults applied: jobs from state, des_threads 1, scale quick.
+        // Defaults applied: jobs from state, scale quick.
         assert_eq!(field(&env, "jobs").as_i64(), Some(2));
-        assert_eq!(field(&env, "des_threads").as_i64(), Some(1));
+        assert!(env.as_object().unwrap().get("des_threads").is_none());
         assert_eq!(field(&env, "scale").as_str(), Some("quick"));
         // Queue timing surfaces on the envelope once the run has run.
         assert!(field(&env, "wait_secs").as_f64().unwrap() >= 0.0);
@@ -551,7 +549,6 @@ mod tests {
             "{}",                                   // missing figure
             "{\"figure\": \"fig02\", \"scale\": \"huge\"}",
             "{\"figure\": \"fig02\", \"jobs\": 0}",
-            "{\"figure\": \"fig02\", \"des_threads\": -1}",
         ] {
             let resp = handle(&post("/runs", body), &state);
             assert_eq!(resp.status, 400, "body {body:?} must be rejected");
@@ -591,6 +588,9 @@ mod tests {
             .collect();
         assert!(ids.contains_key("fig02") && ids.contains_key("table1"));
         assert!(ids.contains_key("abl-eager"), "ablations belong to the catalog");
+        // table1 + fig01..fig23; no extension figure.
+        assert_eq!(ids.keys().filter(|id| !id.starts_with("abl-")).count(), 24);
+        assert!(!ids.contains_key("fig24"));
 
         let resp = handle(&get("/dashboard"), &state);
         assert_eq!(resp.status, 200);
